@@ -33,7 +33,12 @@ final case class ClugpConfig(
     weight: Double = 0.5,
     vMaxFactor: Double = 1.0,
     init: InitStrategy = RangeInit,
-    seed: Long = 17)
+    seed: Long = 17) {
+  // weight = 1 would make λ infinite: every cost ties and the game never moves
+  require(weight > 0 && weight < 1, s"weight must lie in (0, 1), got $weight")
+  require(tau >= 1, s"tau must be >= 1, got $tau")
+  require(vMaxFactor > 0, s"vMaxFactor must be > 0, got $vMaxFactor")
+}
 
 /** Per-pass timing and sizes of one CLUGP run, for the scalability and
   * parallelization experiments (Figs. 7 and 10). */
@@ -57,6 +62,7 @@ final class Clugp(cfg: ClugpConfig = ClugpConfig()) extends StreamingPartitioner
   @volatile var lastStats: ClugpStats = ClugpStats(0, 0, 0, 0, 0, 0)
 
   override def partition(stream: EdgeStream, k: Int): PartitionAssignment = {
+    require(k >= 1, s"k must be >= 1, got $k")
     val t0 = System.nanoTime()
     val vMax = math.max(2L, (cfg.vMaxFactor * stream.numEdges / k).toLong)
     // pass 1: streaming clustering

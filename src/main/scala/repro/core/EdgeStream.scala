@@ -1,7 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, Row, SparkSession}
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.DataFrame
 
 /** A materialized edge stream: the paper's `G_S = {e_1 … e_|E|}`.
   *
@@ -53,14 +52,6 @@ final class EdgeStream(val src: Array[Int], val dst: Array[Int], val numVertices
   def take(n: Int): EdgeStream = {
     val m = math.min(n, numEdges)
     new EdgeStream(src.take(m), dst.take(m), numVertices)
-  }
-
-  /** The stream as a DataFrame `(id, src, dst)` in stream order, for
-    * DataFrame-side metric computations and the DuckDB oracle. */
-  def toDF(spark: SparkSession): DataFrame = {
-    import spark.implicits._
-    src.indices.map(i => (i.toLong, src(i).toLong, dst(i).toLong))
-      .toDF("id", "src", "dst")
   }
 }
 

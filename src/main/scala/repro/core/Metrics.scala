@@ -1,7 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
+import repro.partitioners.ReplicaTable
 
 /** Partition-quality metrics of paper §II-B.
   *
@@ -29,58 +29,31 @@ object Metrics {
   def evaluate(stream: EdgeStream, part: Array[Int], k: Int): PartitionQuality = {
     require(part.length == stream.numEdges, "assignment length != |E|")
     val nV = stream.numVertices
-    // per-vertex partition sets as bitsets: k ≤ 64 → one Long, else words
-    val words = (k + 63) / 64
-    val bits = new Array[Long](nV * words)
+    val held = new ReplicaTable(nV, k)
     val sizes = new Array[Long](k)
-    @inline def mark(v: Int, p: Int): Unit = {
-      bits(v * words + (p >> 6)) |= (1L << (p & 63))
-    }
     var i = 0
     while (i < part.length) {
       val p = part(i)
       require(p >= 0 && p < k, s"edge $i assigned to invalid partition $p")
-      mark(stream.src(i), p); mark(stream.dst(i), p)
+      held.add(stream.src(i), p); held.add(stream.dst(i), p)
       sizes(p) += 1
       i += 1
     }
-    var seen = 0L; var replicas = 0L
+    var seen = 0L
     var v = 0
-    while (v < nV) {
-      var cnt = 0; var w = 0
-      while (w < words) { cnt += java.lang.Long.bitCount(bits(v * words + w)); w += 1 }
-      if (cnt > 0) { seen += 1; replicas += cnt }
-      v += 1
-    }
+    while (v < nV) { if (!held.isEmpty(v)) seen += 1; v += 1 }
+    val replicas = held.entries
     val rf  = if (seen == 0) 0.0 else replicas.toDouble / seen
     val bal = if (stream.numEdges == 0) 1.0 else k.toDouble * sizes.max / stream.numEdges
     PartitionQuality(rf, bal, sizes, replicas - seen)
   }
 
   /** DataFrame `(id, src, dst, part)` from a stream + assignment, the
-    * input of the GAS engine and of the SQL-side metrics below. */
+    * input of the GAS engine and of [[repro.gas.VertexCutGraph.topology]]. */
   def assignmentDF(spark: SparkSession, stream: EdgeStream, part: Array[Int]): DataFrame = {
     import spark.implicits._
     stream.src.indices
       .map(i => (i.toLong, stream.src(i).toLong, stream.dst(i).toLong, part(i)))
       .toDF("id", "src", "dst", "part")
   }
-
-  /** Replication factor computed with the DataFrame API (Catalyst path);
-    * cross-checked against DuckDB in the test suite. One row:
-    * `(rf double, vertices long, replicas long)`. */
-  def replicationFactorDF(assigned: DataFrame): DataFrame = {
-    val verts = assigned.select(col("src") as "v", col("part"))
-      .union(assigned.select(col("dst") as "v", col("part")))
-      .distinct()
-    verts.groupBy(col("v")).agg(countDistinct(col("part")) as "np")
-      .agg(avg(col("np")) as "rf",
-           count(lit(1)) as "vertices",
-           sum(col("np")) as "replicas")
-  }
-
-  /** Per-partition edge counts via the DataFrame API:
-    * `(part, edges)` sorted by partition. */
-  def partitionSizesDF(assigned: DataFrame): DataFrame =
-    assigned.groupBy(col("part")).agg(count(lit(1)) as "edges").orderBy(col("part"))
 }

@@ -1,6 +1,6 @@
 package repro.gas
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 
 /** Master/mirror topology of a vertex-cut placement — what PowerGraph
@@ -44,16 +44,5 @@ object VertexCutGraph {
       .collect().map(r => (r.getInt(0), r.getLong(1))).toMap
     GasTopology(k, masters, replicas, replicas - masters,
       Array.tabulate(k)(p => sizes.getOrElse(p, 0L)))
-  }
-
-  /** The replica table `(v, part, isMaster)`; PowerGraph designates the
-    * lowest-numbered holding partition as the master. */
-  def replicaTable(spark: SparkSession, assigned: DataFrame): DataFrame = {
-    val reps = assigned.select(col("src") as "v", col("part"))
-      .union(assigned.select(col("dst") as "v", col("part")))
-      .distinct()
-    val masters = reps.groupBy("v").agg(min("part") as "masterPart")
-    reps.join(masters, "v")
-      .select(col("v"), col("part"), (col("part") === col("masterPart")) as "isMaster")
   }
 }

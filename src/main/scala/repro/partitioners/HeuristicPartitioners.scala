@@ -12,17 +12,22 @@ import repro.core.EdgeStream
   * plus per-vertex object overhead) — Fig. 6's 8–10× heuristic-over-
   * CLUGP gap is a property of that comparator, which is closed to us
   * only as measurements, so we reproduce its footprint (DESIGN.md §3).
+  * [[repro.core.Metrics.evaluate]] fills one to count `P(v)` per vertex.
   */
-private[partitioners] final class ReplicaTable(nV: Int, k: Int) {
+private[repro] final class ReplicaTable(nV: Int, k: Int) {
   private val words = (k + 63) / 64
-  private val bits  = new Array[Long](nV.toLong.toInt * words)
-  private var entries = 0L
+  require(nV.toLong * words <= Int.MaxValue,
+    s"replica table of $nV vertices x $k partitions exceeds ${Int.MaxValue} words")
+  private val bits  = new Array[Long](nV * words)
+  private var count = 0L
 
+  /** Σ_v |A(v)| — replica entries added so far. */
+  def entries: Long = count
   @inline def contains(v: Int, p: Int): Boolean =
     (bits(v * words + (p >> 6)) & (1L << (p & 63))) != 0
   @inline def add(v: Int, p: Int): Unit = {
     val idx = v * words + (p >> 6); val m = 1L << (p & 63)
-    if ((bits(idx) & m) == 0) { bits(idx) |= m; entries += 1 }
+    if ((bits(idx) & m) == 0) { bits(idx) |= m; count += 1 }
   }
   @inline def isEmpty(v: Int): Boolean = {
     var w = 0
@@ -30,7 +35,7 @@ private[partitioners] final class ReplicaTable(nV: Int, k: Int) {
     true
   }
   /** Bytes of state of the VGP-style table — Fig. 6's space metric. */
-  def spaceBytes: Long = 48L * entries + 16L * nV
+  def spaceBytes: Long = 48L * count + 16L * nV
 }
 
 /** PowerGraph's Greedy heuristic (the paper's "Greedy"): place each edge

@@ -81,40 +81,4 @@ class SynthDataSpec extends SparkSpec {
     assert(n > WebGraphs.UKLite.nE / 2, s"uk-lite realized $n edges")
     assert(n <= WebGraphs.UKLite.nE)
   }
-
-  test("zipfKeys is skewed toward small keys") {
-    val df = SynthData.zipfKeys(spark, 10000, 100)
-    val top = df.where(col("k") <= 5).count()
-    assert(top > 1000, s"zipf top-5 keys got $top of 10000 rows")
-  }
-
-  test("uniformKeys covers the key range roughly evenly") {
-    val df = SynthData.uniformKeys(spark, 10000, 10)
-    val counts = df.groupBy("k").count().collect().map(_.getLong(1))
-    assert(counts.length == 10)
-    assert(counts.min > 500 && counts.max < 2000)
-  }
-
-  test("oracle: tpch-lite lineitem aggregates match DuckDB") {
-    val li = SynthData.lineitem(spark, sf = 0.001)
-    val q = li.groupBy("l_returnflag")
-      .agg(count(lit(1)) as "cnt", round(sum("l_quantity"), 2) as "qty")
-    Oracle.assertEquivalent(q,
-      """SELECT l_returnflag, COUNT(*) AS cnt,
-        |       ROUND(SUM(CAST(l_quantity AS DOUBLE)), 2) AS qty
-        |FROM lineitem GROUP BY l_returnflag""".stripMargin,
-      "lineitem" -> li)
-  }
-
-  test("oracle: tpch-lite orders join customer matches DuckDB") {
-    val o = SynthData.orders(spark, sf = 0.001)
-    val c = SynthData.customer(spark, sf = 0.001)
-    val q = o.join(c, o("o_custkey") === c("c_custkey"))
-      .groupBy("c_mktsegment").agg(count(lit(1)) as "cnt")
-    Oracle.assertEquivalent(q,
-      """SELECT c_mktsegment, COUNT(*) AS cnt
-        |FROM orders JOIN customer ON CAST(o_custkey AS BIGINT) = CAST(c_custkey AS BIGINT)
-        |GROUP BY c_mktsegment""".stripMargin,
-      "orders" -> o, "customer" -> c)
-  }
 }

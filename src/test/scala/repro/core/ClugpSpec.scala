@@ -2,6 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec, TestGraphs, WebGraphs}
+import repro.gas.VertexCutGraph
 
 class ClugpSpec extends SparkSpec {
 
@@ -61,6 +62,16 @@ class ClugpSpec extends SparkSpec {
     assert(st.gameRounds > 0)
   }
 
+  test("out-of-range configurations are rejected with a clear message") {
+    val w = intercept[IllegalArgumentException] { ClugpConfig(weight = 1.0) }
+    assert(w.getMessage.contains("weight must lie in (0, 1), got 1.0"))
+    intercept[IllegalArgumentException] { ClugpConfig(weight = 0.0) }
+    intercept[IllegalArgumentException] { ClugpConfig(tau = 0.9) }
+    intercept[IllegalArgumentException] { ClugpConfig(vMaxFactor = 0.0) }
+    val k = intercept[IllegalArgumentException] { Clugp.run(TestGraphs.handStream, 0) }
+    assert(k.getMessage.contains("k must be >= 1, got 0"))
+  }
+
   test("tau shapes the balance bound") {
     val s = TestGraphs.tiny(spark)
     for (tau <- Seq(1.0, 1.2, 1.5)) {
@@ -91,7 +102,7 @@ class ClugpSpec extends SparkSpec {
     val s = TestGraphs.tiny(spark)
     val local = Metrics.evaluate(s, Clugp.run(s, 8).part, 8).replicationFactor
     val assigned = Clugp.partitionDistributed(spark, df, 8, numSlices = 4)
-    val dist = Metrics.replicationFactorDF(assigned).collect()(0).getDouble(0)
+    val dist = VertexCutGraph.topology(assigned, 8).replicationFactor
     // slices lose cross-slice structure; allow a modest degradation
     assert(dist < local * 1.8 + 0.5, s"dist=$dist local=$local")
     // and distributed partitioning must still beat hashing
@@ -101,9 +112,12 @@ class ClugpSpec extends SparkSpec {
   }
 
   test("oracle: distributed assignment balance via DuckDB") {
+    import spark.implicits._
     val df = WebGraphs.Tiny.df(spark)
     val assigned = Clugp.partitionDistributed(spark, df, 4, numSlices = 2)
-    Oracle.assertEquivalent(Metrics.partitionSizesDF(assigned),
+    val sizes = VertexCutGraph.topology(assigned, 4).edgesPerPartition.zipWithIndex
+      .collect { case (edges, p) if edges > 0 => (p, edges) }
+    Oracle.assertEquivalent(sizes.toSeq.toDF("part", "edges"),
       "SELECT part, COUNT(*) AS edges FROM assigned GROUP BY part ORDER BY part",
       "assigned" -> assigned)
   }

@@ -59,19 +59,10 @@ class EdgeStreamSpec extends SparkSpec {
     assert(s.dst.toSeq == Seq(1, 2, 2, 0))
   }
 
-  test("toDF roundtrips the stream") {
-    val s = TestGraphs.handStream
-    val df = s.toDF(spark)
-    assert(df.count() == s.numEdges)
-    val back = df.orderBy("id").collect()
-    assert(back.map(_.getLong(1)).toSeq == s.src.map(_.toLong).toSeq)
-    assert(back.map(_.getLong(2)).toSeq == s.dst.map(_.toLong).toSeq)
-  }
-
   test("oracle: degree computation via DataFrame matches DuckDB") {
     import org.apache.spark.sql.functions._
     val s = TestGraphs.handStream
-    val edges = s.toDF(spark)
+    val edges = Metrics.assignmentDF(spark, s, new Array[Int](s.numEdges))
     val sparkDeg = edges.select(col("src") as "v")
       .union(edges.select(col("dst") as "v"))
       .groupBy("v").agg(count(lit(1)) as "degree")
@@ -85,7 +76,7 @@ class EdgeStreamSpec extends SparkSpec {
   test("oracle: per-source out-degree matches DuckDB") {
     import org.apache.spark.sql.functions._
     val s = TestGraphs.tiny(spark)
-    val edges = s.toDF(spark).limit(2000)
+    val edges = Metrics.assignmentDF(spark, s, new Array[Int](s.numEdges)).limit(2000)
     val outDeg = edges.groupBy("src").agg(count(lit(1)) as "outdeg")
     Oracle.assertEquivalent(outDeg,
       "SELECT src, COUNT(*) AS outdeg FROM edges GROUP BY src",

@@ -1,6 +1,7 @@
 package repro.core
 
 import repro.exp.Runner
+import repro.gas.VertexCutGraph
 import repro.{SparkSpec, TestGraphs}
 
 /** Cross-algorithm integration grid: every partitioner × several k on
@@ -46,9 +47,9 @@ class EndToEndSpec extends SparkSpec {
     for (algo <- Runner.allAlgorithms(gameThreads = 2)) {
       val a = algo.partition(s, 8)
       val q = Metrics.evaluate(s, a.part, 8)
-      val df = Metrics.assignmentDF(spark, s, a.part)
-      val rf = Metrics.replicationFactorDF(df).collect()(0).getDouble(0)
-      assert(math.abs(rf - q.replicationFactor) < 1e-9, algo.name)
+      val topo = VertexCutGraph.topology(Metrics.assignmentDF(spark, s, a.part), 8)
+      assert(math.abs(topo.replicationFactor - q.replicationFactor) < 1e-9, algo.name)
+      assert(topo.edgesPerPartition.toSeq == q.partitionSizes.toSeq, algo.name)
     }
   }
 }

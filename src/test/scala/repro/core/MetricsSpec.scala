@@ -2,6 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec, TestGraphs}
+import repro.gas.VertexCutGraph
 
 class MetricsSpec extends SparkSpec {
 
@@ -48,20 +49,21 @@ class MetricsSpec extends SparkSpec {
     val s = TestGraphs.tiny(spark)
     val part = new repro.partitioners.DbhPartitioner().partition(s, 8).part
     val q = Metrics.evaluate(s, part, 8)
-    val df = Metrics.assignmentDF(spark, s, part)
-    val row = Metrics.replicationFactorDF(df).collect()(0)
-    assert(math.abs(row.getDouble(0) - q.replicationFactor) < 1e-9)
-    assert(row.getLong(1) == s.numVertices)
-    assert(row.getLong(2) == q.numReplicas + s.numVertices)
-    val sizes = Metrics.partitionSizesDF(df).collect().map(r => r.getLong(1))
-    assert(sizes.toSeq == q.partitionSizes.filter(_ > 0).toSeq)
+    val topo = VertexCutGraph.topology(Metrics.assignmentDF(spark, s, part), 8)
+    assert(math.abs(topo.replicationFactor - q.replicationFactor) < 1e-9)
+    assert(topo.masters == s.numVertices)
+    assert(topo.replicas == q.numReplicas + s.numVertices)
+    assert(topo.edgesPerPartition.toSeq == q.partitionSizes.toSeq)
   }
 
   test("oracle: DataFrame replication factor matches DuckDB") {
+    import spark.implicits._
     val s = TestGraphs.handStream
     val part = Array(0, 1, 0, 1, 2, 2, 0, 1)
     val df = Metrics.assignmentDF(spark, s, part)
-    Oracle.assertEquivalent(Metrics.replicationFactorDF(df),
+    val topo = VertexCutGraph.topology(df, 3)
+    Oracle.assertEquivalent(
+      Seq((topo.replicationFactor, topo.masters, topo.replicas)).toDF("rf", "vertices", "replicas"),
       """SELECT AVG(np) AS rf, COUNT(*) AS vertices, SUM(np) AS replicas FROM (
         |  SELECT v, COUNT(DISTINCT part) AS np FROM (
         |    SELECT src AS v, part FROM assigned
@@ -72,12 +74,32 @@ class MetricsSpec extends SparkSpec {
   }
 
   test("oracle: DataFrame partition sizes match DuckDB") {
+    import spark.implicits._
     val s = TestGraphs.tiny(spark)
     val part = new repro.partitioners.HashingPartitioner().partition(s, 16).part
     val df = Metrics.assignmentDF(spark, s, part)
-    Oracle.assertEquivalent(Metrics.partitionSizesDF(df),
+    val sizes = VertexCutGraph.topology(df, 16).edgesPerPartition.zipWithIndex
+      .collect { case (edges, p) if edges > 0 => (p, edges) }
+    Oracle.assertEquivalent(sizes.toSeq.toDF("part", "edges"),
       "SELECT part, COUNT(*) AS edges FROM assigned GROUP BY part ORDER BY part",
       "assigned" -> df)
+  }
+
+  test("assignmentDF roundtrips the stream and the assignment") {
+    val s = TestGraphs.handStream
+    val part = Array(0, 1, 0, 1, 2, 2, 0, 1)
+    val back = Metrics.assignmentDF(spark, s, part).orderBy("id").collect()
+    assert(back.map(_.getLong(0)).toSeq == s.src.indices.map(_.toLong))
+    assert(back.map(_.getLong(1)).toSeq == s.src.map(_.toLong).toSeq)
+    assert(back.map(_.getLong(2)).toSeq == s.dst.map(_.toLong).toSeq)
+    assert(back.map(_.getInt(3)).toSeq == part.toSeq)
+  }
+
+  test("a replica table too large to index is rejected before allocation") {
+    // 600M vertices x 4 words at k = 256 exceeds Int.MaxValue array slots
+    val s = new EdgeStream(Array.empty, Array.empty, 600_000_000)
+    val e = intercept[IllegalArgumentException] { Metrics.evaluate(s, Array.empty, 256) }
+    assert(e.getMessage.contains("exceeds"))
   }
 
   test("oracle: mirror counts per partition match DuckDB") {

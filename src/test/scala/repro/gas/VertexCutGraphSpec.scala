@@ -1,6 +1,5 @@
 package repro.gas
 
-import org.apache.spark.sql.functions._
 import repro.core.{Clugp, EdgeStream, Metrics}
 import repro.{Oracle, SparkSpec, TestGraphs}
 
@@ -33,33 +32,18 @@ class VertexCutGraphSpec extends SparkSpec {
     assert(topo.edgesPerPartition.toSeq == Seq(1L, 1L))
   }
 
-  test("replicaTable marks exactly one master per vertex") {
-    val s = TestGraphs.tiny(spark).take(3000)
-    val seen = (s.src ++ s.dst).distinct.length.toLong
-    val df = Metrics.assignmentDF(spark, s, Clugp.run(s, 8).part)
-    val rt = VertexCutGraph.replicaTable(spark, df)
-    val masters = rt.where(col("isMaster")).groupBy("v").count()
-    assert(masters.where(col("count") =!= 1).count() == 0)
-    assert(masters.count() == seen)
-    // master is the lowest-numbered holding partition
-    val bad = rt.groupBy("v").agg(min("part") as "mn")
-      .join(rt.where(col("isMaster")), "v")
-      .where(col("mn") =!= col("part"))
-    assert(bad.count() == 0)
-  }
-
   test("oracle: replica table cardinality matches DuckDB") {
+    import spark.implicits._
     val s = TestGraphs.handStream
     val df = Metrics.assignmentDF(spark, s, Array(0, 1, 0, 1, 2, 2, 0, 1))
-    val counts = VertexCutGraph.replicaTable(spark, df)
-      .groupBy("v").agg(count(lit(1)) as "replicas").orderBy("v")
-    Oracle.assertEquivalent(counts,
-      """SELECT v, COUNT(*) AS replicas FROM (
+    val topo = VertexCutGraph.topology(df, 3)
+    Oracle.assertEquivalent(Seq((topo.masters, topo.replicas)).toDF("masters", "replicas"),
+      """SELECT COUNT(DISTINCT v) AS masters, COUNT(*) AS replicas FROM (
         |  SELECT DISTINCT v, part FROM (
         |    SELECT src AS v, part FROM assigned
         |    UNION ALL SELECT dst AS v, part FROM assigned
         |  )
-        |) GROUP BY v ORDER BY v""".stripMargin,
+        |)""".stripMargin,
       "assigned" -> df)
   }
 
