@@ -49,11 +49,13 @@ object Metrics {
   }
 
   /** DataFrame `(id, src, dst, part)` from a stream + assignment, the
-    * input of the GAS engine and of [[repro.gas.VertexCutGraph.topology]]. */
+    * input of the GAS engine and of [[repro.gas.VertexCutGraph.topology]].
+    * It reads copies of the columns taken at the call. */
   def assignmentDF(spark: SparkSession, stream: EdgeStream, part: Array[Int]): DataFrame = {
-    import spark.implicits._
-    stream.src.indices
-      .map(i => (i.toLong, stream.src(i).toLong, stream.dst(i).toLong, part(i)))
-      .toDF("id", "src", "dst", "part")
+    require(part.length == stream.numEdges, "assignment length != |E|")
+    Frames.fromColumns(spark, (stream.src.clone(), stream.dst.clone(), part.clone()),
+        stream.numEdges, "id", "src", "dst", "part") { (c, i) =>
+      (i.toLong, c._1(i).toLong, c._2(i).toLong, c._3(i))
+    }
   }
 }

@@ -1,18 +1,22 @@
 package repro.gas
 
+import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
+import repro.core.Frames
 
 /** PowerGraph-like Gather-Apply-Scatter engine over a vertex-cut
-  * placement, on Spark DataFrames.
+  * placement, on the [[Shards]] substrate.
   *
-  * Each iteration is the GAS two-level aggregation the real system runs:
-  * a *local* gather per (vertex, partition) — the work each distributed
-  * node does on its own edges — followed by a *master* combine across
-  * partitions, which is exactly the mirror→master synchronization whose
-  * message count the paper's Fig. 8 measures. Values are therefore
-  * identical to a single-machine run, while costs (max per-partition
-  * edges, mirror messages) come from the placement.
+  * Each iteration is the GAS two-level aggregation the real system runs,
+  * as one Spark job: the current vertex values are broadcast by dense
+  * vertex id; each shard gathers *locally* over its own edge arrays — the
+  * work each distributed node does — and sends one partial per (vertex,
+  * partition) to the masters; the masters, one primitive array on the
+  * driver, combine the partials and apply. The partials a vertex's
+  * mirrors send are the mirror→master synchronization whose message count
+  * the paper's Fig. 8 measures. Values are therefore identical to a single-machine run,
+  * while costs (max per-partition edges, mirror messages) come from the
+  * placement.
   */
 object GasEngine {
 
@@ -27,68 +31,95 @@ object GasEngine {
     */
   def pageRank(spark: SparkSession, assigned: DataFrame, iters: Int = 10,
                damping: Double = 0.85): DataFrame = {
-    val edges = assigned.select("src", "dst", "part").localCheckpoint(true)
-    val verts = edges.select(col("src") as "v")
-      .union(edges.select(col("dst") as "v")).distinct().localCheckpoint(true)
-    val n = verts.count().toDouble
-    val outDeg = edges.groupBy(col("src") as "v").agg(count(lit(1)) as "outdeg")
-      .localCheckpoint(true)
-
-    var ranks = verts.select(col("v"), lit(1.0 / n) as "rank").localCheckpoint(true)
-    var it = 0
-    while (it < iters) {
-      val withDeg = ranks.join(outDeg, Seq("v"), "left")
-      val dangling = withDeg.where(col("outdeg").isNull)
-        .agg(coalesce(sum("rank"), lit(0.0))).collect()(0).getDouble(0)
-      // local gather: each partition sums contributions on its own edges
-      val localGather = edges
-        .join(withDeg.where(col("outdeg").isNotNull), edges("src") === withDeg("v"))
-        .select(col("dst"), col("part"), (col("rank") / col("outdeg")) as "contrib")
-        .groupBy(col("dst"), col("part"))
-        .agg(sum("contrib") as "partial")
-      // mirror→master combine: partials cross partitions to the master
-      val gathered = localGather.groupBy(col("dst") as "v").agg(sum("partial") as "acc")
-      ranks = verts.join(gathered, Seq("v"), "left")
-        .select(col("v"),
-          (lit((1.0 - damping) / n) +
-            lit(damping) * (coalesce(col("acc"), lit(0.0)) + lit(dangling / n))) as "rank")
-        .localCheckpoint(true)
-      it += 1
+    val (ids, rank) = onShards(assigned) { (ids, outDeg, graph) =>
+      val n = ids.length
+      var rank = Array.fill(n)(1.0 / n)
+      var it = 0
+      while (it < iters) {
+        val contrib = new Array[Double](n)
+        var dangling = 0.0
+        var v = 0
+        while (v < n) {
+          if (outDeg(v) == 0) dangling += rank(v) else contrib(v) = rank(v) / outDeg(v)
+          v += 1
+        }
+        val acc = superstep(graph, contrib, 0.0, undirected = false)(_ + _)
+        val next = new Array[Double](n)
+        v = 0
+        while (v < n) {
+          next(v) = (1.0 - damping) / n + damping * (acc(v) + dangling / n)
+          v += 1
+        }
+        rank = next; it += 1
+      }
+      (ids, rank)
     }
-    ranks
+    Frames.fromColumns(spark, (ids, rank), ids.length, "v", "rank")((c, v) => (c._1(v), c._2(v)))
   }
 
   /** Connected components (edges treated as undirected, as PowerGraph's
     * CC does): iterated min-label propagation until a fixpoint.
     *
     * @return DataFrame `(v, component)` where component is the minimum
-    *         vertex id of the component
+    *         vertex id of the component, and the iterations run
     */
   def connectedComponents(spark: SparkSession, assigned: DataFrame,
                           maxIters: Int = 50): (DataFrame, Int) = {
-    val und = assigned.select(col("src") as "a", col("dst") as "b", col("part"))
-      .union(assigned.select(col("dst") as "a", col("src") as "b", col("part")))
-      .localCheckpoint(true)
-    val verts = und.select(col("a") as "v").distinct().localCheckpoint(true)
-    var labels = verts.select(col("v"), col("v") as "component").localCheckpoint(true)
-    var it = 0
-    var converged = false
-    while (it < maxIters && !converged) {
-      // local gather of neighbour minima per partition, then master combine
-      val localMin = und.join(labels, und("b") === labels("v"))
-        .groupBy(col("a"), col("part")).agg(min("component") as "partial")
-      val gathered = localMin.groupBy(col("a") as "v").agg(min("partial") as "nbrMin")
-      val next = labels.join(gathered, Seq("v"), "left")
-        .select(col("v"),
-          least(col("component"), coalesce(col("nbrMin"), col("component"))) as "component")
-        .localCheckpoint(true)
-      val changed = next.join(labels.withColumnRenamed("component", "old"), "v")
-        .where(col("component") =!= col("old")).count()
-      labels = next
-      converged = changed == 0
-      it += 1
+    val (ids, label, iters) = onShards(assigned) { (ids, _, graph) =>
+      // labels are dense ids: `ids` is sorted, so the least dense id of a
+      // component is its least vertex id
+      var label = Array.tabulate(ids.length)(_.toDouble)
+      var it = 0
+      var converged = false
+      while (it < maxIters && !converged) {
+        val nbrMin = superstep(graph, label, Double.PositiveInfinity, undirected = true)(math.min)
+        val next = Array.tabulate(ids.length)(v => math.min(label(v), nbrMin(v)))
+        converged = java.util.Arrays.equals(next, label)
+        label = next; it += 1
+      }
+      (ids, label, it)
     }
-    (labels, it)
+    (Frames.fromColumns(spark, (ids, label), ids.length, "v", "component") { (c, v) =>
+      (c._1(v), c._1(c._2(v).toInt))
+    }, iters)
+  }
+
+  /** Runs `body` over the placement's shards, each paired with its
+    * local→dense id table and persisted for the iterations. Dense ids are
+    * positions in `ids`, the sorted distinct vertex ids, built on the
+    * driver in one set-up job that also collects out-degrees by dense id. */
+  private def onShards[A](assigned: DataFrame)
+                         (body: (Array[Long], Array[Int], RDD[(Shard, Array[Int])]) => A): A = {
+    val shards = Shards(assigned).persist()
+    val tables = shards.map(s => (s.vertices, s.outDegrees)).collect()
+    val ids = Shards.sortedDistinct(tables.map(_._1).toSeq)
+    val outDeg = new Array[Int](ids.length)
+    tables.foreach { case (vertices, deg) =>
+      val dense = Shards.indexIn(ids, vertices)
+      var l = 0
+      while (l < dense.length) { outDeg(dense(l)) += deg(l); l += 1 }
+    }
+    val bIds = shards.sparkContext.broadcast(ids)
+    val graph = shards.map(s => (s, Shards.indexIn(bIds.value, s.vertices))).persist()
+    try body(ids, outDeg, graph)
+    finally { graph.unpersist(false); shards.unpersist(false); bIds.destroy() }
+  }
+
+  /** One GAS iteration: `value` is broadcast by dense id, every shard
+    * gathers locally with `op`, and the masters combine the partials with
+    * `op` from `zero`. Returns the gathered value of every vertex. */
+  private def superstep(graph: RDD[(Shard, Array[Int])], value: Array[Double], zero: Double,
+                        undirected: Boolean)(op: (Double, Double) => Double): Array[Double] = {
+    val b = graph.sparkContext.broadcast(value)
+    val partials = graph.map { case (s, dense) => s.gather(dense, b.value, zero, undirected)(op) }
+      .collect()
+    b.destroy()
+    val acc = Array.fill(value.length)(zero)
+    partials.foreach { case (ids, xs) =>
+      var i = 0
+      while (i < ids.length) { acc(ids(i)) = op(acc(ids(i)), xs(i)); i += 1 }
+    }
+    acc
   }
 
   /** Exact driver-side PageRank reference (same formulation) for

@@ -1,7 +1,6 @@
 package repro.gas
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
 
 /** Master/mirror topology of a vertex-cut placement — what PowerGraph
   * materializes after loading a partitioned graph.
@@ -33,16 +32,21 @@ final case class GasTopology(
 /** Builds the master/mirror topology from an edge→partition assignment. */
 object VertexCutGraph {
 
-  /** @param assigned DataFrame `(id, src, dst, part)` */
+  /** One job over the placement's [[Shards]]: each shard's edge count and
+    * vertex table are collected, and the masters are the distinct
+    * vertices across the tables.
+    *
+    * @param assigned DataFrame `(id, src, dst, part)` with every `part` in [0,k)
+    */
   def topology(assigned: DataFrame, k: Int): GasTopology = {
-    val replicasDf = assigned.select(col("src") as "v", col("part"))
-      .union(assigned.select(col("dst") as "v", col("part")))
-      .distinct()
-    val replicas = replicasDf.count()
-    val masters  = replicasDf.select("v").distinct().count()
-    val sizes    = assigned.groupBy("part").agg(count(lit(1)) as "edges")
-      .collect().map(r => (r.getInt(0), r.getLong(1))).toMap
-    GasTopology(k, masters, replicas, replicas - masters,
-      Array.tabulate(k)(p => sizes.getOrElse(p, 0L)))
+    val shards = Shards(assigned).map(s => (s.part, s.numEdges.toLong, s.vertices)).collect()
+    val edges = new Array[Long](k)
+    shards.foreach { case (p, m, _) =>
+      require(p >= 0 && p < k, s"edges assigned to partition $p, outside [0,$k)")
+      edges(p) = m
+    }
+    val replicas = shards.map(_._3.length.toLong).sum
+    val masters = Shards.sortedDistinct(shards.map(_._3).toSeq).length.toLong
+    GasTopology(k, masters, replicas, replicas - masters, edges)
   }
 }

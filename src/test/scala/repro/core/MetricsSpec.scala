@@ -95,6 +95,17 @@ class MetricsSpec extends SparkSpec {
     assert(back.map(_.getInt(3)).toSeq == part.toSeq)
   }
 
+  test("assignmentDF keeps its schema, and is empty for an empty stream") {
+    import org.apache.spark.sql.types._
+    val schema = StructType(Seq(
+      StructField("id", LongType, nullable = false), StructField("src", LongType, nullable = false),
+      StructField("dst", LongType, nullable = false), StructField("part", IntegerType, nullable = false)))
+    assert(Metrics.assignmentDF(spark, TestGraphs.handStream, new Array[Int](8)).schema == schema)
+    val empty = Metrics.assignmentDF(spark, new EdgeStream(Array.empty, Array.empty, 0), Array.empty)
+    assert(empty.schema == schema)
+    assert(empty.count() == 0)
+  }
+
   test("a replica table too large to index is rejected before allocation") {
     // 600M vertices x 4 words at k = 256 exceeds Int.MaxValue array slots
     val s = new EdgeStream(Array.empty, Array.empty, 600_000_000)

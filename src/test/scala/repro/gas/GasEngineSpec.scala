@@ -105,4 +105,46 @@ class GasEngineSpec extends SparkSpec {
     val sinkDense = s.dst(0)
     assert(ranks(sinkDense.toLong) == ranks.values.max)
   }
+
+  test("pageRank, connectedComponents and topology on sparse 64-bit vertex ids match the references") {
+    // v -> 2^40 + 3·(n − v): ids far beyond Int and in reverse order, so the
+    // engine's dense index differs from the stream's vertex order
+    val s = prefixStream(3000)
+    val part = Clugp.run(s, 6).part
+    def id(v: Int): Long = (1L << 40) + 3L * (s.numVertices - v)
+    import spark.implicits._
+    val df = s.src.indices.map(i => (i.toLong, id(s.src(i)), id(s.dst(i)), part(i)))
+      .toDF("id", "src", "dst", "part")
+
+    val ranks = GasEngine.pageRank(spark, df, iters = 10).collect()
+      .map(r => (r.getLong(0), r.getDouble(1))).toMap
+    val ref = GasEngine.pageRankReference(s.src, s.dst, s.numVertices, iters = 10)
+    assert(ranks.size == s.numVertices)
+    ref.indices.foreach(v => assert(math.abs(ranks(id(v)) - ref(v)) < 1e-9, s"v=$v"))
+
+    val (labels, _) = GasEngine.connectedComponents(spark, df)
+    val got = labels.collect().map(r => (r.getLong(0), r.getLong(1))).toMap
+    val cc = GasEngine.connectedComponentsReference(s.src, s.dst, s.numVertices)
+    // each component is labelled with its least id after the remap
+    val least = cc.indices.groupBy(cc(_)).map { case (c, vs) => c -> vs.map(id).min }
+    assert(got.size == s.numVertices)
+    cc.indices.foreach(v => assert(got(id(v)) == least(cc(v)), s"v=$v"))
+
+    val q = Metrics.evaluate(s, part, 6)
+    val topo = VertexCutGraph.topology(df, 6)
+    assert(topo.masters == s.numVertices && topo.mirrors == q.numReplicas)
+    assert(topo.edgesPerPartition.toSeq == q.partitionSizes.toSeq)
+  }
+
+  test("an empty assignment gives empty results and a zero topology") {
+    val s = new EdgeStream(Array.empty, Array.empty, 0)
+    val df = Metrics.assignmentDF(spark, s, Array.empty)
+    assert(GasEngine.pageRank(spark, df, iters = 3).collect().isEmpty)
+    val (labels, _) = GasEngine.connectedComponents(spark, df)
+    assert(labels.collect().isEmpty)
+    val topo = VertexCutGraph.topology(df, 4)
+    assert(topo.masters == 0 && topo.replicas == 0 && topo.mirrors == 0)
+    assert(topo.edgesPerPartition.toSeq == Seq(0L, 0L, 0L, 0L))
+    assert(topo.replicationFactor == 0.0 && topo.maxEdges == 0)
+  }
 }

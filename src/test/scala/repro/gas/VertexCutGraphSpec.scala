@@ -1,6 +1,7 @@
 package repro.gas
 
 import repro.core.{Clugp, EdgeStream, Metrics}
+import repro.partitioners.HashingPartitioner
 import repro.{Oracle, SparkSpec, TestGraphs}
 
 class VertexCutGraphSpec extends SparkSpec {
@@ -52,5 +53,29 @@ class VertexCutGraphSpec extends SparkSpec {
     val topo = VertexCutGraph.topology(Metrics.assignmentDF(spark, s, Array(0)), 4)
     assert(topo.edgesPerPartition.toSeq == Seq(1L, 0L, 0L, 0L))
     assert(topo.mirrors == 0)
+  }
+
+  test("topology is exact with empty partitions and with more partitions than Spark slices") {
+    val s = TestGraphs.tiny(spark).take(5000)
+    val wide = spark.sparkContext.defaultParallelism * 3 + 1
+    val placements = Seq(
+      7 -> Array.tabulate(s.numEdges)(i => if (s.src(i) % 3 == 0) 5 else 0),
+      wide -> new HashingPartitioner().partition(s, wide).part)
+    for ((k, part) <- placements) {
+      val q = Metrics.evaluate(s, part, k)
+      val topo = VertexCutGraph.topology(Metrics.assignmentDF(spark, s, part), k)
+      assert(topo.edgesPerPartition.toSeq == q.partitionSizes.toSeq, s"k=$k")
+      assert(topo.mirrors == q.numReplicas, s"k=$k")
+    }
+  }
+
+  test("partition ids outside [0,k) are rejected with the bad value") {
+    val s = EdgeStream.fromPairs(Seq((1L, 2L), (2L, 3L)))
+    for (bad <- Seq(4, -1)) {
+      val e = intercept[IllegalArgumentException] {
+        VertexCutGraph.topology(Metrics.assignmentDF(spark, s, Array(0, bad)), 4)
+      }
+      assert(e.getMessage.contains(s"partition $bad,"), e.getMessage)
+    }
   }
 }
