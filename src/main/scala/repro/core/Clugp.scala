@@ -1,5 +1,9 @@
 package repro.core
 
+import scala.collection.mutable
+import org.apache.spark.RangePartitioner
+import org.apache.spark.rdd.ShuffledRDD
+import org.apache.spark.serializer.KryoSerializer
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.partitioners.{PartitionAssignment, StreamingPartitioner}
@@ -101,10 +105,12 @@ object Clugp {
     * the three passes over its slice of the edge stream, and the final
     * partitioning is the union of the per-node results.
     *
-    * Implemented at the RDD layer: the stream is range-partitioned into
-    * `numSlices` contiguous slices (preserving BFS order within a slice),
-    * `mapPartitions` runs the full local pipeline per slice against the
-    * same k logical partitions, and the per-edge assignments are unioned.
+    * Implemented at the RDD layer: the stream is range-partitioned by
+    * `(src, id)` into `numSlices` contiguous slices, `mapPartitions` sorts
+    * each slice into BFS order and runs the full local pipeline on it
+    * against the same k logical partitions, and the per-edge assignments
+    * are unioned. The shuffle moves `((src, id), dst)` records with Kryo;
+    * the default Java serialization of tuples cost more than the passes.
     *
     * @param edges DataFrame `(src: Long, dst: Long, id: Long)` from
     *              [[repro.SynthData.webGraph]]
@@ -114,21 +120,24 @@ object Clugp {
                            cfg: ClugpConfig = ClugpConfig(),
                            numSlices: Int = 8): DataFrame = {
     import spark.implicits._
-    val ordered = edges.select($"src", $"dst", $"id")
+    val keyed = edges.select($"src", $"dst", $"id")
       .as[(Long, Long, Long)].rdd
-      .map { case (s, d, i) => ((s, i), (s, d, i)) }
-      .repartitionAndSortWithinPartitions(
-        new org.apache.spark.RangePartitioner(numSlices,
-          edges.select($"src", $"id").as[(Long, Long)].rdd.map(t => (t, ()))))
-      .values
-    val assigned = ordered.mapPartitions { it =>
-      val buf = it.toArray
-      if (buf.isEmpty) Iterator.empty
+      .map { case (s, d, i) => ((s, i), d) }
+    // RangePartitioner seeds its sampling with the sample RDD's id, so the
+    // RDDs created before this line fix the slice bounds
+    val slicer = new RangePartitioner(numSlices,
+      edges.select($"src", $"id").as[(Long, Long)].rdd.map(t => (t, ())))
+    val slices = new ShuffledRDD[(Long, Long), Long, Long](keyed, slicer)
+      .setSerializer(new KryoSerializer(spark.sparkContext.getConf))
+    val assigned = slices.mapPartitions { it =>
+      val cols = Array.fill(3)(new mutable.ArrayBuilder.ofLong)
+      it.foreach { case ((s, i), d) => cols(0) += s; cols(1) += d; cols(2) += i }
+      val Array(src, dst, id) = EdgeStream.inStreamOrder(cols(0).result(), cols(1).result(), cols(2).result())
+      if (src.isEmpty) Iterator.empty
       else {
         // local dense remap, local three-pass CLUGP, then emit global ids
-        val local = EdgeStream.fromPairs(buf.map(e => (e._1, e._2)).toIndexedSeq)
-        val res   = new Clugp(cfg).partition(local, k)
-        buf.iterator.zipWithIndex.map { case ((s, d, i), j) => (i, s, d, res.part(j)) }
+        val res = new Clugp(cfg).partition(EdgeStream.fromColumns(src, dst), k)
+        Iterator.tabulate(src.length)(j => (id(j), src(j), dst(j), res.part(j)))
       }
     }
     assigned.toDF("id", "src", "dst", "part")

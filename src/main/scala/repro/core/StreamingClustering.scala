@@ -56,17 +56,15 @@ object StreamingClustering {
     val deg = new Array[Int](nV)
     val divided = new Array[Boolean](nV)
     val mirrors = new java.util.HashMap[Int, ArrayBuffer[Int]]()
-    val vol = new ArrayBuffer[Long]()
-
-    @inline def newCluster(): Int = { vol += 0L; vol.length - 1 }
+    val vol = new Volumes(nV)
 
     val src = stream.src; val dst = stream.dst
     var i = 0
     while (i < src.length) {
       val u = src(i); val v = dst(i)
       // allocation: unseen vertices start as singleton clusters
-      if (clu(u) < 0) clu(u) = newCluster()
-      if (clu(v) < 0) clu(v) = newCluster()
+      if (clu(u) < 0) clu(u) = vol.newCluster()
+      if (clu(v) < 0) clu(v) = vol.newCluster()
       deg(u) += 1; deg(v) += 1
       vol(clu(u)) += 1; vol(clu(v)) += 1
 
@@ -104,15 +102,14 @@ object StreamingClustering {
     import scala.jdk.CollectionConverters._
     ClusteringResult(clu, deg, divided,
       mirrors.asScala.map { case (k2, v2) => (k2.toInt, v2.toSeq) }.toMap,
-      vol.length, vol.toArray)
+      vol.size, vol.toArray)
   }
 
   @inline private def split(x: Int, clu: Array[Int], deg: Array[Int],
-                            vol: ArrayBuffer[Long], divided: Array[Boolean],
+                            vol: Volumes, divided: Array[Boolean],
                             mirrors: java.util.HashMap[Int, ArrayBuffer[Int]]): Unit = {
     val old = clu(x)
-    vol += 0L
-    val fresh = vol.length - 1
+    val fresh = vol.newCluster()
     clu(x) = fresh
     divided(x) = true
     vol(old) -= deg(x)
@@ -121,4 +118,25 @@ object StreamingClustering {
     if (lst == null) { lst = new ArrayBuffer[Int](); mirrors.put(x, lst) }
     lst += old
   }
+}
+
+/** Cluster volumes by cluster id: a primitive array, doubled when full, so
+  * an update boxes nothing. */
+private final class Volumes(initialCapacity: Int) {
+  private var vol = new Array[Long](math.max(16, initialCapacity))
+  private var n = 0
+
+  /** Number of cluster ids allocated. */
+  def size: Int = n
+
+  /** Allocates the next cluster id, with volume 0. */
+  def newCluster(): Int = {
+    if (n == vol.length) vol = java.util.Arrays.copyOf(vol, 2 * n)
+    n += 1
+    n - 1
+  }
+
+  def apply(c: Int): Long = vol(c)
+  def update(c: Int, v: Long): Unit = vol(c) = v
+  def toArray: Array[Long] = java.util.Arrays.copyOf(vol, n)
 }

@@ -97,6 +97,22 @@ class ClugpSpec extends SparkSpec {
     assert(assigned.where(col("part") < 0 || col("part") >= 8).count() == 0)
   }
 
+  test("distributed mode places each slice as Clugp.run on the slice in (src, id) order") {
+    val df = WebGraphs.Tiny.df(spark).repartition(5)
+    val slices = Clugp.partitionDistributed(spark, df, 8, numSlices = 4).rdd
+      .mapPartitions { rows =>
+        Iterator(rows.map(r => (r.getLong(0), r.getLong(1), r.getLong(2), r.getInt(3))).toArray)
+      }.collect().filter(_.nonEmpty)
+    assert(slices.length > 1)
+    // the slices are contiguous ranges of the (src, id) order, each sorted
+    val keys = slices.toSeq.flatMap(_.map { case (i, s, _, _) => (s, i) })
+    assert(keys == keys.sorted && keys.distinct.length == keys.length)
+    slices.foreach { slice =>
+      val local = EdgeStream.fromPairs(slice.map { case (_, s, d, _) => (s, d) }.toIndexedSeq)
+      assert(slice.map(_._4).toSeq == Clugp.run(local, 8).part.toSeq)
+    }
+  }
+
   test("distributed mode quality is close to single-node quality") {
     val df = WebGraphs.Tiny.df(spark)
     val s = TestGraphs.tiny(spark)

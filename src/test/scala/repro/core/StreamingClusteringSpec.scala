@@ -120,4 +120,29 @@ class StreamingClusteringSpec extends SparkSpec {
       invariants(s, StreamingClustering.cluster(s, vMax, split))
     }
   }
+
+  test("the clustering result on the tiny web graph is pinned (k=4/64/256, splitting on and off)") {
+    // (k, splitting) -> numClusters, occupied, divided, and hashes of clu,
+    // divided, the mirror table and the volumes, recorded before the
+    // volumes became a primitive array; deg is the stream's degrees
+    val pinned = Map(
+      (4, true)    -> Seq(5781, 38, 1577, 2091928117, 2115335054, -1488354748, 727981473),
+      (4, false)   -> Seq(3999, 18, 0, 774840671, -410181292, 473519988, -1914546835),
+      (64, true)   -> Seq(8530, 424, 3144, 1546019418, -375209912, -794898492, 1499916195),
+      (64, false)  -> Seq(3999, 145, 0, -170052601, -410181292, 473519988, -1170363147),
+      (256, true)  -> Seq(9881, 1031, 3551, 259015068, -76053546, -866458517, -1788049229),
+      (256, false) -> Seq(3999, 367, 0, -580378277, -410181292, 473519988, 1399434177))
+    val s = TestGraphs.tiny(spark)
+    assert(s.numEdges == 26411 && s.numVertices == 3999)
+    for (((k, split), want) <- pinned) {
+      val r = StreamingClustering.cluster(s, s.numEdges.toLong / k, split)
+      val mirrors = r.mirrorClusters.toSeq.sortBy(_._1).map { case (v, cs) => (v, cs.toList) }
+      val got = Seq(r.numClusters, r.numOccupiedClusters, r.divided.count(identity),
+        java.util.Arrays.hashCode(r.clu), java.util.Arrays.hashCode(r.divided),
+        mirrors.hashCode, java.util.Arrays.hashCode(r.volumes))
+      assert(got == want, s"k=$k splitting=$split")
+      assert(r.mirrorClusters.size == r.divided.count(identity))
+      assert(r.deg.toSeq == s.degrees.toSeq && r.volumes.length == r.numClusters)
+    }
+  }
 }
